@@ -38,6 +38,7 @@ import (
 
 	"repro/internal/clock"
 	"repro/internal/detutil"
+	"repro/internal/dram"
 	"repro/internal/experiments"
 	"repro/internal/mc"
 	"repro/internal/parallel"
@@ -79,6 +80,10 @@ func main() {
 		}
 		fmt.Println(strings.Join(names, ", "))
 		return
+	}
+
+	if err := checkFlags(*wname, *cores, *hammerRow, dram.DDR4_2400()); err != nil {
+		fail(err)
 	}
 
 	var s experiments.Scale
@@ -410,6 +415,25 @@ func writeMemProfile(path string) {
 	if err := f.Close(); err != nil {
 		fail(err)
 	}
+}
+
+// checkFlags rejects flag values the simulator cannot honour, before any
+// machine is built: a core count below one (the per-core memory partition
+// would divide by zero) and a -row outside the bank, which would otherwise
+// alias silently onto another row. double-sided hammers row-1 and row+1, so
+// its victim must have both neighbours inside the bank.
+func checkFlags(workloadName string, cores, row int, p dram.Params) error {
+	if cores < 1 {
+		return fmt.Errorf("-cores must be at least 1, got %d", cores)
+	}
+	lo, hi := 0, p.RowsPerBank-1
+	if workloadName == "double-sided" {
+		lo, hi = 1, p.RowsPerBank-2
+	}
+	if row < lo || row > hi {
+		return fmt.Errorf("-row %d out of range for %s: want %d..%d", row, workloadName, lo, hi)
+	}
+	return nil
 }
 
 func buildWorkload(name string, s experiments.Scale, cfg sim.Config, row int) (workload.Workload, error) {

@@ -123,8 +123,13 @@ found:
 // len returns the number of live entries.
 func (m *intMap) len() int { return m.n }
 
-// clear removes all entries without releasing storage.
+// clear removes all entries without releasing storage. An empty map is
+// already all empty slots (deletion leaves no tombstones), so clearing it
+// costs nothing.
 func (m *intMap) clear() {
+	if m.n == 0 {
+		return
+	}
 	for i := range m.keys {
 		m.keys[i] = -1
 	}

@@ -1,6 +1,9 @@
 package core
 
-import "fmt"
+import (
+	"fmt"
+	"math/bits"
+)
 
 // paTable is the pseudo-associative organization (pa-TWiCe, §6.1): the table
 // is split into sets; each row has a preferred set (row mod #sets) and is
@@ -9,12 +12,19 @@ import "fmt"
 // preferred set is incremented, so later lookups know which non-preferred
 // sets can possibly hold the row. Common-case lookups touch a single set,
 // which is where the energy saving over fa-TWiCe comes from.
+//
+// Each set carries an occupancy mask, so searches, prunes and Clear visit
+// only valid ways and skip empty sets outright: a prune costs what the
+// table holds, not its 576-way capacity.
 type paTable struct {
-	ways int       //twicelint:keep geometry, fixed at construction
-	sets [][]Entry // sets[s][w]; Row < 0 marks an empty way
-	sb   [][]int   // sb[host][preferred] = entries of `preferred` stored in `host`
-	len  int
-	ops  OpStats
+	ways  int       //twicelint:keep geometry, fixed at construction
+	words int       //twicelint:keep occupancy words per set, fixed at construction
+	sets  [][]Entry //twicelint:keep stale ways are unreadable; occ is the source of truth
+	// occ[s*words + w/64] has bit w%64 set when way w of set s is valid.
+	occ []uint64
+	sb  [][]int // sb[host][preferred] = entries of `preferred` stored in `host`
+	len int
+	ops OpStats
 }
 
 // newPATable builds a pseudo-associative table with enough sets of the given
@@ -27,28 +37,34 @@ func newPATable(capacity, ways int) *paTable {
 	if nsets < 1 {
 		nsets = 1
 	}
+	words := (ways + 63) / 64
 	t := &paTable{
-		ways: ways,
-		sets: make([][]Entry, nsets),
-		sb:   make([][]int, nsets),
+		ways:  ways,
+		words: words,
+		sets:  make([][]Entry, nsets),
+		occ:   make([]uint64, nsets*words),
+		sb:    make([][]int, nsets),
 	}
 	for s := range t.sets {
 		t.sets[s] = make([]Entry, ways)
-		for w := range t.sets[s] {
-			t.sets[s][w].Row = -1
-		}
 		t.sb[s] = make([]int, nsets)
 	}
 	return t
 }
 
+// setOcc returns set s's occupancy words.
+func (t *paTable) setOcc(s int) []uint64 { return t.occ[s*t.words : (s+1)*t.words] }
+
 func (t *paTable) preferred(row int) int { return row % len(t.sets) }
 
-// findInSet scans one set for the row; returns the way index or -1.
+// findInSet scans the valid ways of one set for the row; returns the way
+// index or -1.
 func (t *paTable) findInSet(s, row int) int {
-	for w := range t.sets[s] {
-		if t.sets[s][w].Row == row {
-			return w
+	for wi, m := range t.setOcc(s) {
+		for ; m != 0; m &= m - 1 {
+			if w := wi<<6 + bits.TrailingZeros64(m); t.sets[s][w].Row == row {
+				return w
+			}
 		}
 	}
 	return -1
@@ -101,10 +117,13 @@ func (t *paTable) Lookup(row int) (Entry, bool) {
 	return t.sets[s][w], true
 }
 
+// emptyWay returns the lowest empty way of set s, or -1 when it is full.
 func (t *paTable) emptyWay(s int) int {
-	for w := range t.sets[s] {
-		if t.sets[s][w].Row < 0 {
-			return w
+	for wi, m := range t.setOcc(s) {
+		if free := ^m; free != 0 {
+			if w := wi<<6 + bits.TrailingZeros64(free); w < t.ways {
+				return w
+			}
 		}
 	}
 	return -1
@@ -134,6 +153,7 @@ func (t *paTable) Insert(row int) error {
 		t.ops.Spills++
 	}
 	t.sets[s][w] = Entry{Row: row, ActCnt: 1, Life: 1}
+	t.occ[s*t.words+w>>6] |= 1 << (uint(w) & 63)
 	t.len++
 	t.ops.Inserts++
 	if t.len > t.ops.PeakOccupancy {
@@ -147,7 +167,7 @@ func (t *paTable) invalidate(s, w int) {
 	if p := t.preferred(row); p != s {
 		t.sb[s][p]--
 	}
-	t.sets[s][w].Row = -1
+	t.occ[s*t.words+w>>6] &^= 1 << (uint(w) & 63)
 	t.len--
 }
 
@@ -171,14 +191,14 @@ func (t *paTable) Remove(row int) {
 	t.ops.Removes++
 }
 
+//twicelint:hotpath per-REF table update, reached through the Table interface
 func (t *paTable) Prune(thPI int) int {
 	pruned := 0
-	for s := range t.sets {
-		for w := range t.sets[s] {
+	for i, m := range t.occ {
+		s, base := i/t.words, i%t.words<<6
+		for ; m != 0; m &= m - 1 {
+			w := base + bits.TrailingZeros64(m)
 			e := &t.sets[s][w]
-			if e.Row < 0 {
-				continue
-			}
 			if e.ActCnt < thPI*e.Life {
 				t.invalidate(s, w)
 				pruned++
@@ -193,14 +213,18 @@ func (t *paTable) Prune(thPI int) int {
 }
 
 // Clear implements Table: every way emptied, all set-borrowing indicators
-// zeroed, counters reset — storage untouched.
+// zeroed, counters reset — storage untouched. Only occupied sets are
+// visited: a set's indicators can be non-zero only while it hosts a
+// borrowed entry.
 func (t *paTable) Clear() {
 	for s := range t.sets {
-		for w := range t.sets[s] {
-			t.sets[s][w].Row = -1
-		}
-		for p := range t.sb[s] {
-			t.sb[s][p] = 0
+		lo, hi := s*t.words, (s+1)*t.words
+		for _, m := range t.occ[lo:hi] {
+			if m != 0 {
+				clear(t.occ[lo:hi])
+				clear(t.sb[s])
+				break
+			}
 		}
 	}
 	t.len = 0
@@ -212,11 +236,10 @@ func (t *paTable) Cap() int { return len(t.sets) * t.ways }
 
 func (t *paTable) Snapshot() []Entry {
 	out := make([]Entry, 0, t.len)
-	for s := range t.sets {
-		for w := range t.sets[s] {
-			if t.sets[s][w].Row >= 0 {
-				out = append(out, t.sets[s][w])
-			}
+	for i, m := range t.occ {
+		s, base := i/t.words, i%t.words<<6
+		for ; m != 0; m &= m - 1 {
+			out = append(out, t.sets[s][base+bits.TrailingZeros64(m)])
 		}
 	}
 	return out

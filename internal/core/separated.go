@@ -123,6 +123,7 @@ func (t *sepTable) Remove(row int) {
 	}
 }
 
+//twicelint:hotpath per-REF table update, reached through the Table interface
 func (t *sepTable) Prune(thPI int) int {
 	// Narrow entries all have Life 1 and ActCnt < graduate, so with the
 	// default graduate = thPI the rule prunes every one of them; run the

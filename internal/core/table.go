@@ -1,6 +1,9 @@
 package core
 
-import "fmt"
+import (
+	"fmt"
+	"math/bits"
+)
 
 // Entry is one TWiCe counter-table entry (Figure 3 of the paper): the row it
 // tracks, the activation count accumulated since insertion, and the number of
@@ -70,26 +73,30 @@ type Table interface {
 // dense entry pool with a row index; the CAM cost shows up only in the
 // energy model, not in behaviour. The index is an open-addressed intMap
 // rather than a Go map because Touch runs once per simulated ACT.
+//
+// Slots are handed out in the order of a LIFO free list initialised to
+// [cap-1 … 0]: released slots are reused newest first, and only when none
+// are pending does the lowest never-used slot go out. The never-used tail of
+// that stack is kept as the counter next rather than materialised, so Clear
+// is O(occupied) instead of O(capacity); Prune, Snapshot and Clear walk the
+// valid bitmap's set bits in ascending slot order.
 type faTable struct {
-	entries []Entry //twicelint:keep stale slots are unreadable; valid[] is the source of truth
-	valid   []bool
-	free    []int
-	index   *intMap // row -> slot
+	entries []Entry  //twicelint:keep stale slots are unreadable; valid is the source of truth
+	valid   []uint64 // bit i%64 of valid[i/64] set when slot i holds an entry
+	free    []int    // released slots, reused last-in first-out
+	next    int      // slots [next, cap) have not been handed out since construction or Clear
+	index   *intMap  // row -> slot
 	ops     OpStats
 }
 
 // newFATable builds a fully-associative table with the given capacity.
 func newFATable(capacity int) *faTable {
-	t := &faTable{
+	return &faTable{
 		entries: make([]Entry, capacity),
-		valid:   make([]bool, capacity),
+		valid:   make([]uint64, (capacity+63)/64),
 		free:    make([]int, 0, capacity),
 		index:   newIntMap(capacity),
 	}
-	for i := capacity - 1; i >= 0; i-- {
-		t.free = append(t.free, i)
-	}
-	return t
 }
 
 //twicelint:hotpath per-ACT table op, reached through the Table interface
@@ -116,14 +123,20 @@ func (t *faTable) Insert(row int) error {
 		//twicelint:allocok cold error path: caller bug, not steady state
 		return fmt.Errorf("core: insert of already-tracked row %d", row)
 	}
-	if len(t.free) == 0 {
+	var i int
+	switch {
+	case len(t.free) > 0:
+		i = t.free[len(t.free)-1]
+		t.free = t.free[:len(t.free)-1]
+	case t.next < len(t.entries):
+		i = t.next
+		t.next++
+	default:
 		//twicelint:allocok cold error path: sizing invariant violation
 		return fmt.Errorf("core: fa table full (%d entries); sizing invariant violated", len(t.entries))
 	}
-	i := t.free[len(t.free)-1]
-	t.free = t.free[:len(t.free)-1]
 	t.entries[i] = Entry{Row: row, ActCnt: 1, Life: 1}
-	t.valid[i] = true
+	t.valid[i>>6] |= 1 << (uint(i) & 63)
 	t.index.put(row, i)
 	t.ops.Inserts++
 	if n := t.index.len(); n > t.ops.PeakOccupancy {
@@ -149,32 +162,38 @@ func (t *faTable) set(row int, e Entry) {
 	}
 }
 
+// release frees slot i: the valid bit drops and the slot goes on top of the
+// free list. The caller has already removed the row from the index.
+func (t *faTable) release(i int) {
+	t.valid[i>>6] &^= 1 << (uint(i) & 63)
+	//twicelint:allocok free list capacity equals the entry count, fixed at construction
+	t.free = append(t.free, i)
+}
+
 func (t *faTable) Remove(row int) {
 	i, ok := t.index.get(row)
 	if !ok {
 		return
 	}
 	t.index.del(row)
-	t.valid[i] = false
-	//twicelint:allocok free list capacity equals the entry count, fixed at construction
-	t.free = append(t.free, i)
+	t.release(i)
 	t.ops.Removes++
 }
 
+//twicelint:hotpath per-REF table update, reached through the Table interface
 func (t *faTable) Prune(thPI int) int {
 	pruned := 0
-	for i := range t.entries {
-		if !t.valid[i] {
-			continue
-		}
-		e := &t.entries[i]
-		if e.ActCnt < thPI*e.Life {
-			t.index.del(e.Row)
-			t.valid[i] = false
-			t.free = append(t.free, i)
-			pruned++
-		} else {
-			e.Life++
+	for wi, w := range t.valid {
+		for ; w != 0; w &= w - 1 {
+			i := wi<<6 + bits.TrailingZeros64(w)
+			e := &t.entries[i]
+			if e.ActCnt < thPI*e.Life {
+				t.index.del(e.Row)
+				t.release(i)
+				pruned++
+			} else {
+				e.Life++
+			}
 		}
 	}
 	t.ops.Prunes++
@@ -182,18 +201,20 @@ func (t *faTable) Prune(thPI int) int {
 	return pruned
 }
 
-// Clear implements Table. The free list is rebuilt in the same descending
-// order newFATable uses, so a cleared table hands out slots in the exact
-// sequence a fresh one would.
+// Clear implements Table. Only occupied slots are visited: each live row
+// leaves the index (so the index.clear call finds it already empty), and
+// resetting the free list and next hands slots out in the exact sequence a
+// fresh table would.
 func (t *faTable) Clear() {
-	for i := range t.valid {
-		t.valid[i] = false
-	}
-	t.free = t.free[:0]
-	for i := len(t.entries) - 1; i >= 0; i-- {
-		t.free = append(t.free, i)
+	for wi, w := range t.valid {
+		for ; w != 0; w &= w - 1 {
+			t.index.del(t.entries[wi<<6+bits.TrailingZeros64(w)].Row)
+		}
+		t.valid[wi] = 0
 	}
 	t.index.clear()
+	t.free = t.free[:0]
+	t.next = 0
 	t.ops = OpStats{}
 }
 
@@ -202,9 +223,9 @@ func (t *faTable) Cap() int { return len(t.entries) }
 
 func (t *faTable) Snapshot() []Entry {
 	out := make([]Entry, 0, t.index.len())
-	for i, v := range t.valid {
-		if v {
-			out = append(out, t.entries[i])
+	for wi, w := range t.valid {
+		for ; w != 0; w &= w - 1 {
+			out = append(out, t.entries[wi<<6+bits.TrailingZeros64(w)])
 		}
 	}
 	return out

@@ -89,9 +89,15 @@ func BenchmarkTablePrune(b *testing.B) {
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				// Life grows every pass, so entries eventually prune away;
-				// the measured cost is the full-capacity storage scan, which
-				// does not depend on occupancy.
+				// Prune walks only valid entries, so its cost follows
+				// occupancy. Life grows every pass and the entries
+				// eventually prune away; refill (untimed) when the table
+				// empties so every timed pass sees a half-full table.
+				if tb.Len() == 0 {
+					b.StopTimer()
+					fillHalf(b, tb, 4)
+					b.StartTimer()
+				}
 				tb.Prune(1)
 			}
 		})

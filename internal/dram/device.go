@@ -2,6 +2,7 @@ package dram
 
 import (
 	"fmt"
+	"math/bits"
 	"math/rand"
 
 	"repro/internal/clock"
@@ -26,9 +27,19 @@ type BankStats struct {
 	Flips         int64 // row-hammer flips observed
 }
 
+// blockShift sets the dirty-tracking granularity: one dirty bit covers
+// 1<<blockShift consecutive physical rows.
+const blockShift = 6
+
 // Bank models a single DRAM bank: its physical rows (including spares), the
 // remap table burned in at test time, the rolling auto-refresh pointer, and
 // per-row disturbance state.
+//
+// Refresh and reset cost what is live: the dense per-row arrays are only
+// ever written where hammer has disturbed a row, and the dirty bitmap
+// records which 64-row blocks those are. A clean block holds only zero
+// counters and clear flip marks, so the auto-refresh sweep and Reset skip
+// it without touching its memory.
 type Bank struct {
 	id    BankID      //twicelint:keep identity, fixed at construction
 	p     *Params     //twicelint:keep device parameters, fixed at construction
@@ -41,6 +52,11 @@ type Bank struct {
 	// current vulnerability epoch, so one over-threshold row produces one
 	// flip record rather than one per subsequent ACT.
 	flipped []bool
+	// dirty has bit k set when block k (physical rows k<<blockShift up to
+	// the next block) may hold a non-zero disturb or a set flipped entry.
+	// hammer sets it; a refresh sweep clears it only after zeroing the
+	// whole block.
+	dirty []uint64
 	// hwm is the highest disturbance count any row of the bank has reached —
 	// the per-bank high-water mark the telemetry layer samples. Maintained
 	// inline in hammer (one compare per disturbed neighbour).
@@ -60,12 +76,14 @@ func NewBank(id BankID, p *Params, remap *RemapTable) *Bank {
 		remap = NewRemapTable(p.RowsPerBank, p.SpareRowsPerBank)
 	}
 	n := remap.PhysicalRows()
+	blocks := (n + 1<<blockShift - 1) >> blockShift
 	return &Bank{
 		id:      id,
 		p:       p,
 		remap:   remap,
 		disturb: make([]int32, n),
 		flipped: make([]bool, n),
+		dirty:   make([]uint64, (blocks+63)/64),
 		openRow: -1,
 	}
 }
@@ -128,6 +146,7 @@ func (b *Bank) hammer(phys int, now clock.Time) {
 			continue
 		}
 		b.disturb[n]++
+		b.dirty[n>>(blockShift+6)] |= 1 << (uint(n>>blockShift) & 63)
 		if b.disturb[n] > b.hwm {
 			b.hwm = b.disturb[n]
 		}
@@ -155,6 +174,7 @@ func (b *Bank) Precharge() {
 // AutoRefresh processes one auto-refresh command: the next RowsPerRefresh
 // physical rows (in rolling order) have their charge restored, clearing
 // their disturbance counters. The caller must have precharged the bank.
+// Only dirty blocks of the sweep are written.
 //
 //twicelint:hotpath runs once per bank every tREFI across the whole run
 func (b *Bank) AutoRefresh(now clock.Time) error {
@@ -162,24 +182,49 @@ func (b *Bank) AutoRefresh(now clock.Time) error {
 		//twicelint:allocok cold error path: protocol violation, not steady state
 		return fmt.Errorf("dram: auto-refresh with row %d open in %v", b.openRow, b.id)
 	}
-	n := b.remap.PhysicalRows()
+	n := len(b.disturb)
 	count := b.p.RowsPerRefresh()
-	for i := 0; i < count; i++ {
-		b.refreshRow(b.refreshPtr)
-		b.refreshPtr++
-		if b.refreshPtr >= n {
-			b.refreshPtr = 0
-		}
+	end := b.refreshPtr + count
+	if end >= n {
+		// The sweep reaches the end of the physical row space and wraps
+		// (count ≤ n, so it wraps at most once).
+		b.refreshRange(b.refreshPtr, n)
+		end -= n
+		b.refreshRange(0, end)
+	} else {
+		b.refreshRange(b.refreshPtr, end)
 	}
+	b.refreshPtr = end
 	b.stats.AutoRefreshes++
 	b.stats.RowsRefreshed += int64(count)
 	_ = now
 	return nil
 }
 
-func (b *Bank) refreshRow(phys int) {
-	b.disturb[phys] = 0
-	b.flipped[phys] = false
+// refreshRange restores physical rows [lo, hi), visiting only dirty blocks
+// and skipping whole clean bitmap words. A block's dirty bit is dropped
+// only when the range covered the entire block; a partly refreshed block
+// stays dirty because its rows outside the range may still be disturbed.
+func (b *Bank) refreshRange(lo, hi int) {
+	n := len(b.disturb)
+	for k := lo >> blockShift; k<<blockShift < hi; k++ {
+		w := b.dirty[k>>6]
+		if w == 0 {
+			k |= 63 // the rest of this word's blocks are clean
+			continue
+		}
+		bit := uint64(1) << (uint(k) & 63)
+		if w&bit == 0 {
+			continue
+		}
+		bs, be := k<<blockShift, min((k+1)<<blockShift, n)
+		l, h := max(lo, bs), min(hi, be)
+		clear(b.disturb[l:h])
+		clear(b.flipped[l:h])
+		if l == bs && h == be {
+			b.dirty[k>>6] = w &^ bit
+		}
+	}
 }
 
 // AdjacentRowRefresh implements the ARR command: the device resolves the
@@ -255,13 +300,22 @@ func (b *Bank) DisturbHighWater() int { return int(b.hwm) }
 // refresh pointer rewound, recorded flips dropped (the backing array is
 // reused), and the activity counters zeroed. The remap table is fuse data —
 // it survives, which is what makes a reset bank byte-identical to a fresh
-// bank built from the same generation sequence.
+// bank built from the same generation sequence. Only dirty blocks are
+// zeroed, so a reset costs what the previous run disturbed, and pages of
+// the dense arrays that were never touched stay untouched.
 func (b *Bank) Reset() {
-	for i := range b.disturb {
-		b.disturb[i] = 0
-	}
-	for i := range b.flipped {
-		b.flipped[i] = false
+	n := len(b.disturb)
+	for i, w := range b.dirty {
+		if w == 0 {
+			continue
+		}
+		for ; w != 0; w &= w - 1 {
+			k := i<<6 + bits.TrailingZeros64(w)
+			bs, be := k<<blockShift, min((k+1)<<blockShift, n)
+			clear(b.disturb[bs:be])
+			clear(b.flipped[bs:be])
+		}
+		b.dirty[i] = 0
 	}
 	b.refreshPtr = 0
 	b.openRow = -1

@@ -34,15 +34,45 @@ func BenchmarkBankActivate(b *testing.B) {
 	}
 }
 
+// BenchmarkBankAutoRefresh times REF on a bank dirtied by a spread of ACTs
+// (one every 61 rows, so most 64-row blocks are dirty): the sweep pays for
+// zeroing dirty blocks, not only for skipping clean ones. The bank is
+// re-dirtied, untimed, once a full window of REFs has swept it clean.
 func BenchmarkBankAutoRefresh(b *testing.B) {
 	p := benchParams()
 	bank := NewBank(BankID{0, 0, 0}, &p, nil)
+	dirty := func() {
+		for row := 0; row < p.RowsPerBank; row += 61 {
+			if err := bank.Activate(row, 0); err != nil {
+				b.Fatal(err)
+			}
+			bank.Precharge()
+		}
+	}
+	window := p.RefreshTicksPerWindow()
+	dirty()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
+		if i > 0 && i%window == 0 {
+			b.StopTimer()
+			dirty()
+			b.StartTimer()
+		}
 		if err := bank.AutoRefresh(clock.Time(i)); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// BenchmarkGenerateRemapTable times one bank's remap-layout generation at
+// the default fault rate (all 1,024 spares used).
+func BenchmarkGenerateRemapTable(b *testing.B) {
+	p := benchParams()
+	rng := rand.New(rand.NewSource(1))
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		GenerateRemapTable(p, rng)
 	}
 }
 

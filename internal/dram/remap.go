@@ -2,8 +2,8 @@ package dram
 
 import (
 	"fmt"
+	"math/bits"
 	"math/rand"
-	"sort"
 )
 
 // RemapTable records the row-sparing decisions made at device test time:
@@ -73,26 +73,27 @@ func GenerateRemapTable(p Params, rng *rand.Rand) *RemapTable {
 	// element moves per bank, which dominated machine construction at the
 	// default fault rate (n = 1024 spares per bank). The rejection loop below
 	// draws from the rng in exactly the order the incremental version did, so
-	// generated layouts are unchanged.
-	taken := make([]bool, p.RowsPerBank)
+	// generated layouts are unchanged. Taken rows live in a bitset (16 KB per
+	// 128K-row bank), and walking its set bits yields them already sorted, so
+	// no comparison sort is needed.
+	taken := make([]uint64, (p.RowsPerBank+63)/64)
 	t.spareLogical = make([]int, 0, n)
 	for len(t.spareLogical) < n {
 		r := rng.Intn(p.RowsPerBank)
-		if !taken[r] {
-			taken[r] = true
+		if bit := uint64(1) << (uint(r) & 63); taken[r>>6]&bit == 0 {
+			taken[r>>6] |= bit
 			t.spareLogical = append(t.spareLogical, r)
 		}
 	}
-	perm := make([]int, n) // acceptance indices, sorted by logical row
-	for i := range perm {
-		perm[i] = i
+	t.remappedLogical = make([]int, 0, n)
+	for i, w := range taken {
+		for ; w != 0; w &= w - 1 {
+			t.remappedLogical = append(t.remappedLogical, i<<6+bits.TrailingZeros64(w))
+		}
 	}
-	sort.Slice(perm, func(i, j int) bool { return t.spareLogical[perm[i]] < t.spareLogical[perm[j]] })
-	t.remappedLogical = make([]int, n)
 	t.remappedPhys = make([]int, n)
-	for i, s := range perm {
-		t.remappedLogical[i] = t.spareLogical[s]
-		t.remappedPhys[i] = t.rows + s
+	for s, r := range t.spareLogical {
+		t.remappedPhys[t.findRemapped(r)] = t.rows + s
 	}
 	return t
 }

@@ -18,7 +18,8 @@
 #   4b. bench smoke    — every sim benchmark body runs once (-benchtime=1x),
 #                        so a change that breaks only benchmark-path code
 #                        (the perfbench hot-path legs share these bodies)
-#                        cannot land green
+#                        cannot land green; the DRAM device's ACT and REF
+#                        benchmarks get the same one-iteration run
 #   4c. benchdiff smoke — the regression-table tool parses older committed
 #                        perfbench snapshots (including the version skew
 #                        between them) and exits 0
@@ -58,6 +59,9 @@ go test ./...
 
 echo "==> go test -run='^\$' -bench=SimRun -benchtime=1x ./internal/sim"
 go test -run='^$' -bench=SimRun -benchtime=1x ./internal/sim
+
+echo "==> go test -run='^\$' -bench='Bank(AutoRefresh|Activate)' -benchtime=1x ./internal/dram"
+go test -run='^$' -bench='Bank(AutoRefresh|Activate)' -benchtime=1x ./internal/dram
 
 echo "==> benchdiff BENCH_5.json BENCH_6.json (smoke)"
 go run ./cmd/benchdiff BENCH_5.json BENCH_6.json >/dev/null
