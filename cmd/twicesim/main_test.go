@@ -1,6 +1,7 @@
 package main
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
@@ -8,8 +9,10 @@ import (
 )
 
 // TestCheckFlags pins the flag boundary: values that used to panic deep in
-// workload construction (-cores 0) or alias silently onto another row
-// (-row out of the bank) are rejected with an error naming the flag.
+// workload construction (-cores 0), alias silently onto another row (-row
+// out of the bank), run unbounded (-requests below 1) or be accepted
+// silently (-timeline-windows below 0) are rejected with an error naming the
+// flag.
 func TestCheckFlags(t *testing.T) {
 	p := dram.DDR4_2400()
 	last := p.RowsPerBank - 1
@@ -17,29 +20,37 @@ func TestCheckFlags(t *testing.T) {
 		workload string
 		cores    int
 		row      int
+		requests int64
+		windows  int
 		wantErr  string // "" = accepted
 	}{
-		{"S3", 4, 5000, ""},
-		{"mix-high", 1, 5000, ""},
-		{"S3", 4, 0, ""},
-		{"S3", 4, last, ""},
-		{"double-sided", 4, 1, ""},
-		{"double-sided", 4, last - 1, ""},
-		{"mix-high", 0, 5000, "-cores"},
-		{"mix-high", -3, 5000, "-cores"},
-		{"S3", 4, 99999999, "-row"},
-		{"S3", 4, -5, "-row"},
-		{"S3", 4, last + 1, "-row"},
-		{"double-sided", 4, 0, "-row"},
-		{"double-sided", 4, last, "-row"},
+		{"S3", 4, 5000, 1000, 0, ""},
+		{"mix-high", 1, 5000, 1000, 0, ""},
+		{"S3", 4, 0, 1000, 0, ""},
+		{"S3", 4, last, 1000, 0, ""},
+		{"double-sided", 4, 1, 1000, 0, ""},
+		{"double-sided", 4, last - 1, 1000, 0, ""},
+		{"mix-high", 0, 5000, 1000, 0, "-cores"},
+		{"mix-high", -3, 5000, 1000, 0, "-cores"},
+		{"S3", 4, 99999999, 1000, 0, "-row"},
+		{"S3", 4, -5, 1000, 0, "-row"},
+		{"S3", 4, last + 1, 1000, 0, "-row"},
+		{"double-sided", 4, 0, 1000, 0, "-row"},
+		{"double-sided", 4, last, 1000, 0, "-row"},
+		{"S3", 4, 5000, 1, 0, ""},
+		{"S3", 4, 5000, 1000, 3, ""},
+		{"S3", 4, 5000, 0, 0, "-requests"},
+		{"S3", 4, 5000, -5, 0, "-requests"},
+		{"S3", 4, 5000, 1000, -2, "-timeline-windows"},
 	}
 	for _, c := range cases {
-		err := checkFlags(c.workload, c.cores, c.row, p)
+		err := checkFlags(c.workload, c.cores, c.row, c.requests, c.windows, p)
+		flags := fmt.Sprintf("%s -cores %d -row %d -requests %d -timeline-windows %d", c.workload, c.cores, c.row, c.requests, c.windows)
 		switch {
 		case c.wantErr == "" && err != nil:
-			t.Errorf("%s -cores %d -row %d: unexpected error %v", c.workload, c.cores, c.row, err)
+			t.Errorf("%s: unexpected error %v", flags, err)
 		case c.wantErr != "" && (err == nil || !strings.Contains(err.Error(), c.wantErr)):
-			t.Errorf("%s -cores %d -row %d: error %v, want one naming %s", c.workload, c.cores, c.row, err, c.wantErr)
+			t.Errorf("%s: error %v, want one naming %s", flags, err, c.wantErr)
 		}
 	}
 }

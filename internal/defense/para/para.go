@@ -14,10 +14,9 @@ import (
 	"repro/internal/dram"
 )
 
-// PARA is a probabilistic row-hammer mitigation. Its RNG and refresh counter
-// are sharded per flat bank so that concurrent OnActivate calls for banks of
-// different channels (channel-parallel Advance) never share state — which is
-// also what makes its random stream independent of channel interleaving.
+// PARA is a probabilistic row-hammer mitigation. It draws from one RNG
+// stream per flat bank, so the sequence a bank observes depends only on its
+// own ACT stream, not on how the channels' events interleave.
 type PARA struct {
 	name        string       //twicelint:keep display name, fixed at construction
 	p           float64      //twicelint:keep refresh probability, fixed at construction
@@ -25,11 +24,10 @@ type PARA struct {
 	radius      int          //twicelint:keep blast radius, fixed at construction
 	params      dram.Params  //twicelint:keep geometry, fixed at construction
 	rngs        []*rand.Rand //twicelint:keep per-bank stream continuity is deliberate; grids build a fresh PARA per cell
-	refreshes   []int64      //twicelint:keep lifetime aggregate; PARA is stateless per-epoch
+	refreshes   int64        //twicelint:keep lifetime aggregate; PARA is stateless per-epoch
 }
 
 var _ defense.Defense = (*PARA)(nil)
-var _ defense.ChannelSharded = (*PARA)(nil)
 
 // New builds a PARA instance with refresh probability p. The paper's
 // configurations are p = 0.001 and p = 0.002. The seed makes runs
@@ -46,7 +44,6 @@ func New(p float64, dp dram.Params, seed int64) (*PARA, error) {
 		radius:      dp.BlastRadius,
 		params:      dp,
 		rngs:        make([]*rand.Rand, dp.TotalBanks()),
-		refreshes:   make([]int64, dp.TotalBanks()),
 	}
 	// One deterministic stream per bank (golden-ratio stride decorrelates
 	// neighbouring banks); the observed sequence then depends only on each
@@ -61,12 +58,10 @@ func New(p float64, dp dram.Params, seed int64) (*PARA, error) {
 func (pa *PARA) Name() string { return pa.name }
 
 // OnActivate implements defense.Defense: with probability p, refresh one
-// randomly chosen neighbour within the blast radius. Only the activated
-// bank's shard is touched, so calls for banks of different channels are safe
-// to run concurrently.
+// randomly chosen neighbour within the blast radius, drawing from the
+// activated bank's stream.
 func (pa *PARA) OnActivate(bank dram.BankID, row int, _ clock.Time) defense.Action {
-	i := bank.Flat(&pa.params)
-	rng := pa.rngs[i]
+	rng := pa.rngs[bank.Flat(&pa.params)]
 	if rng.Float64() >= pa.p {
 		return defense.Action{}
 	}
@@ -82,7 +77,7 @@ func (pa *PARA) OnActivate(bank dram.BankID, row int, _ clock.Time) defense.Acti
 			return defense.Action{}
 		}
 	}
-	pa.refreshes[i]++
+	pa.refreshes++
 	return defense.Action{LogicalVictims: []int{victim}}
 }
 
@@ -92,15 +87,5 @@ func (pa *PARA) OnRefreshTick(dram.BankID, clock.Time) {}
 // Reset implements defense.Defense (PARA is stateless).
 func (pa *PARA) Reset() {}
 
-// ChannelSafe implements defense.ChannelSharded: the RNGs and counters are
-// per-bank, so cross-channel concurrency never shares state.
-func (pa *PARA) ChannelSafe() bool { return true }
-
-// Refreshes returns the number of victim refreshes issued across all banks.
-func (pa *PARA) Refreshes() int64 {
-	var n int64
-	for _, v := range pa.refreshes {
-		n += v
-	}
-	return n
-}
+// Refreshes returns the number of victim refreshes issued.
+func (pa *PARA) Refreshes() int64 { return pa.refreshes }

@@ -54,26 +54,20 @@ type entry struct {
 	last  int64
 }
 
-// TRR implements defense.Defense. All mutable state — the trackers, the tick
-// clock, and the aggregate counters — is sharded per flat bank, so channel
-// workers touching banks of different channels never share memory
-// (defense.ChannelSharded, the TWiCe/PARA recipe). The tick clock shards
-// exactly because the only thing it feeds is the within-bank LRU comparison:
-// a per-bank tick preserves the relative activation order inside each bank,
-// so eviction decisions are identical to the global-clock formulation.
+// TRR implements defense.Defense. The tick clock that orders each bank's
+// LRU eviction is kept per flat bank: the only thing it feeds is the
+// within-bank comparison, so a per-bank tick preserves the relative
+// activation order inside each bank.
 type TRR struct {
 	cfg      Config //twicelint:keep configuration, fixed at construction
 	trackers [][]entry
 	ticks    []int64 //twicelint:keep lifetime tick clocks; trackers reference them only relatively
 
-	refreshes []int64 //twicelint:keep lifetime aggregates; Reset drops the trackers only
-	evictions []int64 //twicelint:keep lifetime aggregates; Reset drops the trackers only
+	refreshes int64 //twicelint:keep lifetime aggregate; Reset drops the trackers only
+	evictions int64 //twicelint:keep lifetime aggregate; Reset drops the trackers only
 }
 
-var (
-	_ defense.Defense        = (*TRR)(nil)
-	_ defense.ChannelSharded = (*TRR)(nil)
-)
+var _ defense.Defense = (*TRR)(nil)
 
 // New builds a TRR engine.
 func New(cfg Config) (*TRR, error) {
@@ -81,11 +75,9 @@ func New(cfg Config) (*TRR, error) {
 		return nil, err
 	}
 	return &TRR{
-		cfg:       cfg,
-		trackers:  make([][]entry, cfg.DRAM.TotalBanks()),
-		ticks:     make([]int64, cfg.DRAM.TotalBanks()),
-		refreshes: make([]int64, cfg.DRAM.TotalBanks()),
-		evictions: make([]int64, cfg.DRAM.TotalBanks()),
+		cfg:      cfg,
+		trackers: make([][]entry, cfg.DRAM.TotalBanks()),
+		ticks:    make([]int64, cfg.DRAM.TotalBanks()),
 	}, nil
 }
 
@@ -107,7 +99,7 @@ func (t *TRR) OnActivate(bank dram.BankID, row int, _ clock.Time) defense.Action
 		tr[j].last = t.ticks[i]
 		if tr[j].count >= t.cfg.MAC {
 			tr[j].count = 0
-			t.refreshes[i]++
+			t.refreshes++
 			// The device refreshes the aggressor's neighbours via its own
 			// remap-aware internal path: model as an ARR.
 			return defense.Action{ARRAggressors: []int{row}, Detected: true}
@@ -125,7 +117,7 @@ func (t *TRR) OnActivate(bank dram.BankID, row int, _ clock.Time) defense.Action
 		}
 	}
 	tr[oldest] = entry{row: row, count: 1, last: t.ticks[i]}
-	t.evictions[i]++
+	t.evictions++
 	return defense.Action{}
 }
 
@@ -140,18 +132,6 @@ func (t *TRR) Reset() {
 	}
 }
 
-// ChannelSafe implements defense.ChannelSharded: every mutable field is
-// indexed by flat bank, so concurrent workers for different channels are
-// disjoint.
-func (t *TRR) ChannelSafe() bool { return true }
-
-// Stats returns refresh and eviction counts summed across the per-bank
-// shards; a high eviction rate under attack is the signature of a many-sided
-// bypass.
-func (t *TRR) Stats() (refreshes, evictions int64) {
-	for i := range t.refreshes {
-		refreshes += t.refreshes[i]
-		evictions += t.evictions[i]
-	}
-	return refreshes, evictions
-}
+// Stats returns refresh and eviction counts; a high eviction rate under
+// attack is the signature of a many-sided bypass.
+func (t *TRR) Stats() (refreshes, evictions int64) { return t.refreshes, t.evictions }

@@ -134,7 +134,7 @@ func runStream(t *testing.T, cfg Config, def defense.Defense, specs []reqSpec, u
 	if err != nil {
 		t.Fatal(err)
 	}
-	sys.UseReferenceScheduler(useRef)
+	useReference(sys, useRef)
 	var res streamResult
 	sys.SetTrace(func(ev TraceEvent) { res.trace = append(res.trace, ev) })
 
@@ -419,7 +419,7 @@ func TestStepSteadyStateAllocFree(t *testing.T) {
 				cfg := NewConfig(sysParams())
 				cfg.Scheduler = sched
 				r := newRig(t, cfg, defense.Nop{})
-				r.sys.UseReferenceScheduler(useRef)
+				useReference(r.sys, useRef)
 				var free []*Request
 				r.sys.SetRelease(func(q *Request) { free = append(free, q) })
 				for i := 0; i < 256; i++ {

@@ -3,7 +3,7 @@
 // attention loop is gated on the attention-set count, and the demand loop
 // visits only banks whose buckets hold queued work, consulting the cached
 // per-bank timing constraints instead of re-deriving them. Selection is
-// byte-identical to the retained naive scheduler (reference.go): classes
+// byte-identical to the naive reference scheduler (reference_test.go): classes
 // 0–2 are considered in the same rank-major bank order (first-considered
 // wins their seq-0 ties), and demand candidates carry demandKey values that
 // order exactly like the reference's pool-position sequence numbers
@@ -48,10 +48,10 @@ type candidate struct {
 // event loop drives Advance from NextEvent, which guarantees it); the
 // timing-constraint cache relies on it.
 func (ch *channel) step(now clock.Time) clock.Time {
-	if ch.sys.refSched {
-		return ch.stepReference(now)
-	}
 	s := ch.sys
+	if s.stepFn != nil {
+		return s.stepFn(ch, now)
+	}
 	p := &s.cfg.DRAM
 	best := candidate{t: clock.Never}
 	earliest := clock.Never

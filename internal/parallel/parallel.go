@@ -112,8 +112,14 @@ func (r Runner) DoWorkers(n int, job func(worker, i int) error) error {
 		go func(worker int) {
 			defer wg.Done()
 			for {
+				// Check stop before claiming: a claimed index always
+				// runs, so a failure at a higher index can never
+				// leave a lower one unstarted.
+				if stop.Load() {
+					return
+				}
 				i := int(next.Add(1))
-				if i >= n || stop.Load() {
+				if i >= n {
 					return
 				}
 				if err := job(worker, i); err != nil {

@@ -28,11 +28,10 @@
 #                        than 2x fails the build (loose on purpose — see
 #                        the inline note at the leg)
 #   5. go test -race   — race detector over the event loop, the memory
-#                        controller (channel-parallel Advance), the TWiCe
-#                        engine, and the parallel experiment runner, plus
-#                        the serial/parallel equivalence tests — both the
-#                        experiment fan-out and the intra-machine
-#                        channel-worker grid — so the real concurrency
+#                        controller, the TWiCe engine, and the parallel
+#                        experiment runner, plus the serial/parallel grid
+#                        equivalence test, so the one real concurrency —
+#                        independent grid cells on parallel.Map workers —
 #                        runs under the detector
 #   6. fuzz (non-tier-1) — a short trace-reader fuzz burst; new findings
 #                        land in internal/trace/testdata/fuzz as regression
@@ -80,9 +79,6 @@ go test -race ./internal/sim/... ./internal/mc/... ./internal/core/... ./interna
 
 echo "==> go test -race -run TestParallelSerialEquivalence ./internal/experiments"
 go test -race -run TestParallelSerialEquivalence ./internal/experiments
-
-echo "==> go test -race -run 'TestChannelParallelEquivalence|TestChannelReuseAfterParallelRun|TestDrainParallelEquivalence|TestCoreShardEquivalence' ./internal/sim"
-go test -race -run 'TestChannelParallelEquivalence|TestChannelReuseAfterParallelRun|TestDrainParallelEquivalence|TestCoreShardEquivalence' ./internal/sim
 
 if [ "${SKIP_FUZZ:-0}" != "1" ]; then
 	echo "==> go test -run='^$' -fuzz=FuzzReader -fuzztime=10s ./internal/trace (non-tier-1)"
