@@ -22,7 +22,7 @@ func main() {
 
 func run(windowMS int, threshold int) {
 	p := dram.DDR4_2400()
-	p.Channels, p.RanksPerChannel, p.BanksPerRank = 1, 1, 1
+	p.Channels, p.RanksPerChannel, p.BanksPerRank, p.BankGroups = 1, 1, 1, 1
 	p.TREFW = clock.Millisecond * clock.Time(windowMS)
 	cfg := cbt.NewConfig(p)
 	cfg.Threshold = threshold
@@ -34,8 +34,6 @@ func run(windowMS int, threshold int) {
 	if err != nil {
 		panic(err)
 	}
-	c2, _ := cbt.New(cfg)
-	_ = c2
 	w := workload.S2(amap, p, cfg.Threshold)
 	g := w.Gens[0]
 	bank := dram.BankID{}

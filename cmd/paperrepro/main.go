@@ -41,7 +41,7 @@ import (
 func main() {
 	scaleFlag := flag.String("scale", "quick", "experiment scale: quick or paper")
 	only := flag.String("only", "", "run a single experiment: table1,table2,table3,table4,fig7a,fig7b,area")
-	requests := flag.Int64("requests", 0, "override demand requests per cell")
+	requests := flag.Int64("requests", 0, "demand requests per cell (0 = the scale's default)")
 	csvDir := flag.String("csv", "", "directory to also write fig7a.csv / fig7b.csv into")
 	par := flag.Int("parallel", 0, "worker goroutines per experiment grid (0 = all CPUs, 1 = serial)")
 	progressFlag := flag.Bool("progress", false, "report completed/total grid cells and ETA on stderr")
@@ -52,6 +52,9 @@ func main() {
 	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile to this file")
 	memprofile := flag.String("memprofile", "", "write a heap profile to this file on exit")
 	flag.Parse()
+	if err := checkFlags(*requests, *timelineWindows, *par); err != nil {
+		fail(err)
+	}
 
 	var s experiments.Scale
 	switch *scaleFlag {
@@ -302,6 +305,23 @@ func writeMemProfile(path string) {
 	if err := f.Close(); err != nil {
 		fail(err)
 	}
+}
+
+// checkFlags rejects flag values that would otherwise be aliased to
+// another value: a negative -requests (0 keeps the scale's default), a
+// negative -timeline-windows, and a negative -parallel, which the grid
+// runner would read as "all CPUs".
+func checkFlags(requests int64, timelineWindows, workers int) error {
+	if requests < 0 {
+		return fmt.Errorf("-requests must be non-negative (0 = the scale's default), got %d", requests)
+	}
+	if timelineWindows < 0 {
+		return fmt.Errorf("-timeline-windows must be non-negative, got %d", timelineWindows)
+	}
+	if workers < 0 {
+		return fmt.Errorf("-parallel must be non-negative, got %d", workers)
+	}
+	return nil
 }
 
 func fail(err error) {

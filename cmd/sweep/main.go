@@ -56,6 +56,9 @@ func main() {
 	if *values == "" {
 		fail(fmt.Errorf("-values is required"))
 	}
+	if err := checkFlags(*requests, *timelineWindows, *par); err != nil {
+		fail(err)
+	}
 
 	s := experiments.QuickScale()
 	s.Seed = *seed
@@ -111,6 +114,24 @@ func main() {
 	for _, line := range lines {
 		fmt.Print(line)
 	}
+}
+
+// checkFlags rejects flag values the sweep cannot honour, before any point
+// runs: a -requests budget below one (sim.Limits reads a non-positive budget
+// as unlimited, so every point would run on to its 10 s simulated-time
+// ceiling), a negative -timeline-windows, and a negative -parallel, which
+// the worker pool would otherwise read as "all CPUs".
+func checkFlags(requests int64, timelineWindows, workers int) error {
+	if requests < 1 {
+		return fmt.Errorf("-requests must be at least 1, got %d", requests)
+	}
+	if timelineWindows < 0 {
+		return fmt.Errorf("-timeline-windows must be non-negative, got %d", timelineWindows)
+	}
+	if workers < 0 {
+		return fmt.Errorf("-parallel must be non-negative, got %d", workers)
+	}
+	return nil
 }
 
 // writeTelemetry exports the collected per-point series as sweep.csv and

@@ -77,7 +77,7 @@ func main() {
 		return
 	}
 
-	if err := checkFlags(*wname, *cores, *hammerRow, *requests, *timelineWindows, dram.DDR4_2400()); err != nil {
+	if err := checkFlags(*wname, *cores, *hammerRow, *requests, *timelineWindows, *par, dram.DDR4_2400()); err != nil {
 		fail(err)
 	}
 
@@ -315,10 +315,11 @@ func writeMemProfile(path string) {
 // would divide by zero), a -row outside the bank, which would otherwise
 // alias silently onto another row, a -requests budget below one (sim.Run
 // reads a non-positive budget as unlimited, so the run would go on to the
-// 30 s simulated-time ceiling) and a negative -timeline-windows. double-sided
-// hammers row-1 and row+1, so its victim must have both neighbours inside
-// the bank.
-func checkFlags(workloadName string, cores, row int, requests int64, timelineWindows int, p dram.Params) error {
+// 30 s simulated-time ceiling), a negative -timeline-windows and a negative
+// -parallel, which the worker pool would otherwise read as "all CPUs".
+// double-sided hammers row-1 and row+1, so its victim must have both
+// neighbours inside the bank.
+func checkFlags(workloadName string, cores, row int, requests int64, timelineWindows, workers int, p dram.Params) error {
 	if cores < 1 {
 		return fmt.Errorf("-cores must be at least 1, got %d", cores)
 	}
@@ -327,6 +328,9 @@ func checkFlags(workloadName string, cores, row int, requests int64, timelineWin
 	}
 	if timelineWindows < 0 {
 		return fmt.Errorf("-timeline-windows must be non-negative, got %d", timelineWindows)
+	}
+	if workers < 0 {
+		return fmt.Errorf("-parallel must be non-negative, got %d", workers)
 	}
 	lo, hi := 0, p.RowsPerBank-1
 	if workloadName == "double-sided" {

@@ -420,37 +420,9 @@ func TestStepSteadyStateAllocFree(t *testing.T) {
 				cfg.Scheduler = sched
 				r := newRig(t, cfg, defense.Nop{})
 				useReference(r.sys, useRef)
-				var free []*Request
-				r.sys.SetRelease(func(q *Request) { free = append(free, q) })
-				for i := 0; i < 256; i++ {
-					free = append(free, &Request{})
-				}
-				rng := rand.New(rand.NewSource(11))
-				now := clock.Time(0)
-				pump := func() {
-					for k := 0; k < 4 && len(free) > 0; k++ {
-						q := free[len(free)-1]
-						free = free[:len(free)-1]
-						*q = Request{
-							ID:    r.sys.NewID(),
-							Addr:  dram.Addr{Bank: rng.Intn(4), Row: rng.Intn(32), Col: rng.Intn(16)},
-							Write: rng.Intn(4) == 0,
-							Core:  rng.Intn(2),
-						}
-						if !r.sys.Enqueue(q, now) {
-							free = append(free, q)
-							break
-						}
-					}
-					for i := 0; i < 8; i++ {
-						now = r.sys.NextEvent()
-						r.sys.Advance(now)
-					}
-				}
-				for i := 0; i < 300; i++ { // warmup: grow every queue, bucket, and scratch
-					pump()
-				}
-				if avg := testing.AllocsPerRun(100, pump); avg > 0 {
+				pp := &stepPump{sys: r.sys, rng: rand.New(rand.NewSource(11)), burst: 4, rows: 32, cores: 2, writes: true}
+				pp.start(256, 300) // warmup: grow every queue, bucket, and scratch
+				if avg := testing.AllocsPerRun(100, pp.pump); avg > 0 {
 					t.Errorf("channel.step allocates %.2f allocs/run in steady state, want 0", avg)
 				}
 			})

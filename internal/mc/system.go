@@ -90,8 +90,8 @@ type System struct {
 	cnt   *stats.Counters //twicelint:keep wiring; counters are reset by the machine that owns them
 	chans []*channel
 	ids   int64
-	// steps counts scheduler steps executed since construction or Reset;
-	// cmd/perfbench divides wall time by it for the ns/step legs.
+	// steps counts scheduler steps since construction or Reset; benchrec's
+	// mc.step_ns and BenchmarkSchedulerStep's per-step figures divide by it.
 	steps int64
 	// nextWake caches the minimum of the channels' wake times so the event
 	// loop's NextEvent poll is O(1) instead of a per-iteration rescan of
